@@ -6,7 +6,10 @@
 // re-runs the probes and fails if any is more than -threshold slower than
 // the checked-in baseline in bench/baseline/. A probe that trips a gate is
 // re-measured up to -retries times (best reading per metric wins) so one
-// noisy sample on a timeshared host cannot fail a healthy probe.
+// noisy sample on a timeshared host cannot fail a healthy probe. Write mode
+// holds records to the same absolute gates (subsystem overhead, stagger
+// reduction) and refuses to write one that still fails them, so no baseline
+// can be checked in that its own check would reject.
 //
 // Usage:
 //
@@ -400,13 +403,13 @@ func driftProbeSpec() drift.Spec {
 // as a fraction of the plain run.
 const overheadLimit = 0.10
 
-// gateFailures evaluates every check-mode gate against one measurement and
-// returns a message per breach. The overhead gate is absolute, not
-// baseline-relative: the subsystem switched on must stay within
-// overheadLimit of the same run with it off, whatever this host's speed.
-// The stagger gate is directional: staggered drains must keep the peak
-// window strictly below the unstaggered run.
-func gateFailures(rec, base perfRecord, threshold float64) []string {
+// selfGateFailures evaluates the gates a measurement must pass on its own,
+// with no baseline, returning a message per breach. The overhead gate is
+// absolute: the subsystem switched on must stay within overheadLimit of the
+// same run with it off, whatever this host's speed. The stagger gate is
+// directional: staggered drains must keep the peak window strictly below
+// the unstaggered run.
+func selfGateFailures(rec perfRecord) []string {
 	var fails []string
 	if rec.OverheadFrac > overheadLimit {
 		fails = append(fails, fmt.Sprintf("subsystem overhead %.1f%% exceeds %.0f%% limit",
@@ -416,6 +419,13 @@ func gateFailures(rec, base perfRecord, threshold float64) []string {
 		fails = append(fails, fmt.Sprintf("staggering no longer lowers the peak window (reduction %.1f%%)",
 			100*rec.PeakReductionFrac))
 	}
+	return fails
+}
+
+// gateFailures evaluates every check-mode gate: the self gates plus the
+// wall-time regression limit against the baseline.
+func gateFailures(rec, base perfRecord, threshold float64) []string {
+	fails := selfGateFailures(rec)
 	if limit := base.WallMS * (1 + threshold); rec.WallMS > limit {
 		fails = append(fails, fmt.Sprintf("%.1f ms vs baseline %.1f ms (limit %.1f ms, +%.0f%%)",
 			rec.WallMS, base.WallMS, limit, 100*(rec.WallMS/base.WallMS-1)))
@@ -477,7 +487,7 @@ func main() {
 	outDir := flag.String("out", "bench", "directory for BENCH_<id>.json records")
 	checkDir := flag.String("check", "", "baseline directory to compare against (enables check mode)")
 	threshold := flag.Float64("threshold", 0.20, "max tolerated wall-time regression vs baseline (fraction)")
-	retries := flag.Int("retries", 2, "check mode: re-measure a failing probe up to this many times before declaring regression")
+	retries := flag.Int("retries", 2, "re-measure a probe failing a gate up to this many times before declaring regression (check mode) or refusing to write it")
 	only := flag.String("only", "", "run only probes whose id starts with this prefix")
 	httpAddr := flag.String("http", "", "serve live introspection (/healthz /progress, pprof) on this address, e.g. :8080")
 	flag.Parse()
@@ -518,6 +528,7 @@ func main() {
 		default:
 			fmt.Printf("%-16s %10.1f ms  %9d mallocs\n", rec.ID, rec.WallMS, rec.Mallocs)
 		}
+		gate := selfGateFailures
 		if *checkDir != "" {
 			base, err := readRecord(filepath.Join(*checkDir, "BENCH_"+rec.ID+".json"))
 			if err != nil {
@@ -525,19 +536,26 @@ func main() {
 				regressed = true
 				continue
 			}
-			fails := gateFailures(rec, base, *threshold)
-			// One sample on a timeshared host can read tens of percent
-			// slow; re-measure before believing it. The limits are
-			// unchanged — a true regression fails every retry.
-			for retry := 0; len(fails) > 0 && retry < *retries; retry++ {
-				fmt.Printf("%-16s noisy reading (%s); re-measuring\n", rec.ID, fails[0])
-				rec = bestOf(rec, measure(pb))
-				fails = gateFailures(rec, base, *threshold)
-			}
-			for _, f := range fails {
+			gate = func(r perfRecord) []string { return gateFailures(r, base, *threshold) }
+		}
+		fails := gate(rec)
+		// One sample on a timeshared host can read tens of percent slow;
+		// re-measure before believing it. The limits are unchanged — a true
+		// regression fails every retry.
+		for retry := 0; len(fails) > 0 && retry < *retries; retry++ {
+			fmt.Printf("%-16s noisy reading (%s); re-measuring\n", rec.ID, fails[0])
+			rec = bestOf(rec, measure(pb))
+			fails = gate(rec)
+		}
+		for _, f := range fails {
+			if *checkDir != "" {
 				fmt.Fprintf(os.Stderr, "nvmcp-perf: REGRESSION %s: %s\n", rec.ID, f)
-				regressed = true
+			} else {
+				fmt.Fprintf(os.Stderr, "nvmcp-perf: not writing %s, it fails its own gate: %s\n", rec.ID, f)
 			}
+			regressed = true
+		}
+		if *checkDir != "" || len(fails) > 0 {
 			continue
 		}
 		if err := writeRecord(filepath.Join(*outDir, "BENCH_"+rec.ID+".json"), rec); err != nil {

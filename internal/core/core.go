@@ -93,6 +93,7 @@ type Store struct {
 	order  []uint64 // allocation order, for deterministic iteration
 
 	onModify []func(*Chunk)
+	onBirth  []func()
 
 	// rec publishes events and registry metrics; nil outside instrumented
 	// runs (every method on a nil recorder is a no-op).
@@ -158,6 +159,12 @@ func (s *Store) Alloc() *nvmalloc.Allocator { return s.alloc }
 // to maintain dirty sets and prediction counters.
 func (s *Store) OnModify(fn func(*Chunk)) { s.onModify = append(s.onModify, fn) }
 
+// OnBirth registers a callback fired whenever NVAlloc or NVAttach adds a
+// chunk. A new chunk may start dirty without a protection fault, so OnModify
+// never reports it; pre-copy engines use this to wake at the birth instant.
+// A birth is not a modification episode and publishes nothing.
+func (s *Store) OnBirth(fn func()) { s.onBirth = append(s.onBirth, fn) }
+
 // Chunks returns all chunks in allocation order.
 func (s *Store) Chunks() []*Chunk {
 	out := make([]*Chunk, 0, len(s.order))
@@ -219,8 +226,7 @@ func (s *Store) NVAlloc(p *sim.Proc, name string, size int64, persist bool) (*Ch
 			return nil, err
 		}
 	}
-	s.chunks[id] = c
-	s.order = append(s.order, id)
+	s.add(c)
 	return c, nil
 }
 
@@ -245,9 +251,17 @@ func (s *Store) NVAttach(p *sim.Proc, name string, size int64) (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.chunks[id] = c
-	s.order = append(s.order, id)
+	s.add(c)
 	return c, nil
+}
+
+// add registers a newly built chunk and announces its birth.
+func (s *Store) add(c *Chunk) {
+	s.chunks[c.ID] = c
+	s.order = append(s.order, c.ID)
+	for _, fn := range s.onBirth {
+		fn()
+	}
 }
 
 // NVRealloc grows (or shrinks) a chunk, preserving the DRAM payload prefix

@@ -69,8 +69,6 @@ type Config struct {
 	// BWPerCore is the effective NVM write bandwidth per core used by the
 	// threshold calculation (NVMBW_core).
 	BWPerCore float64
-	// PollTick bounds how long the worker sleeps with no work (default 50ms).
-	PollTick time.Duration
 	// Rec publishes engine activity onto the run's observability bus
 	// (nil-safe; nil disables instrumentation).
 	Rec *obs.Recorder
@@ -110,9 +108,6 @@ type Engine struct {
 
 // New attaches an engine to a store and starts its background worker.
 func New(store *core.Store, cfg Config) *Engine {
-	if cfg.PollTick == 0 {
-		cfg.PollTick = 50 * time.Millisecond
-	}
 	env := store.Kernel().Env()
 	e := &Engine{
 		cfg:       cfg,
@@ -125,6 +120,7 @@ func New(store *core.Store, cfg Config) *Engine {
 	}
 	e.copyDone.Complete() // not copying initially
 	store.OnModify(e.onModify)
+	store.OnBirth(e.wake.Broadcast)
 	if cfg.Scheme != NoPreCopy {
 		e.proc = env.Go("precopy/"+store.Proc().Name(), e.run)
 	}
@@ -236,12 +232,13 @@ func (e *Engine) Stop() {
 	}
 }
 
-// run is the background worker loop.
+// run is the background worker loop. It sleeps on e.wake whenever no chunk
+// is eligible; see nextCandidate for the broadcasts that make this safe.
 func (e *Engine) run(p *sim.Proc) {
 	for !e.stopped {
 		c := e.nextCandidate()
 		if c == nil {
-			e.wake.WaitTimeout(p, e.cfg.PollTick)
+			e.wake.Wait(p)
 			continue
 		}
 		e.copying = true
@@ -283,6 +280,21 @@ func (e *Engine) count(name string, delta int64) {
 
 // nextCandidate picks the next chunk eligible for background staging, in
 // allocation order, or nil when none is eligible yet.
+//
+// The worker has no timer: it parks on e.wake until a broadcast, so every
+// change that can turn this result non-nil must broadcast e.wake at the
+// instant it happens. The inputs and their broadcasts:
+//   - quiesced cleared, modsNow reset: BeginInterval;
+//   - learned and threshold: OnCheckpoint, which runs while the engine is
+//     quiesced; the BeginInterval that lifts the quiesce broadcasts;
+//   - the threshold instant intervalStart+threshold: the broadcast that
+//     BeginInterval schedules for it;
+//   - DCPCP episode counts (modsNow): onModify;
+//   - the dirty set: markDirty → notifyModify → onModify, plus the store's
+//     birth hook for chunks that NVAlloc/NVAttach create already dirty.
+//
+// A copy the worker finishes (raced or not) needs no broadcast: the worker
+// re-evaluates before it parks.
 func (e *Engine) nextCandidate() *core.Chunk {
 	if e.quiesced || e.stopped {
 		return nil

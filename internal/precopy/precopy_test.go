@@ -163,7 +163,7 @@ func TestDCPCPLearnsPredictionTable(t *testing.T) {
 func TestDCPCPHoldsHotChunkUntilPredictedCount(t *testing.T) {
 	e := sim.NewEnv()
 	r := newRig(e)
-	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9, PollTick: 10 * time.Millisecond})
+	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9})
 	e.Go("app", func(p *sim.Proc) {
 		hot, _ := r.store.NVAlloc(p, "hot", 100*mem.MB, true)
 		iterate := func() {
@@ -201,7 +201,7 @@ func TestDCPCPAdaptsWhenChunkTurnsHot(t *testing.T) {
 	// observable exactly when they cost a re-copy.
 	e := sim.NewEnv()
 	r := newRig(e)
-	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9, PollTick: 10 * time.Millisecond})
+	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9})
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "drifter", 10*mem.MB, true)
 		// Learning interval: one episode.
@@ -325,7 +325,7 @@ func TestStopKillsWorker(t *testing.T) {
 		c.WriteAll(p)
 		eng.Stop()
 	})
-	e.Run() // must terminate: a live worker would keep polling forever
+	e.Run() // returns either way: a worker parked on its signal schedules nothing
 	if e.LiveProcs() != 0 {
 		t.Fatalf("%d processes still live after Stop", e.LiveProcs())
 	}
@@ -349,4 +349,122 @@ func TestMeterAccumulatesBusyTime(t *testing.T) {
 	if busy < 50*time.Millisecond || busy > 500*time.Millisecond {
 		t.Fatalf("worker busy = %v, want ~100ms", busy)
 	}
+}
+
+// TestWakeContract holds the worker to the contract on nextCandidate: it has
+// no timer, so it must never sit parked on its signal while a chunk is
+// eligible. Each scheme runs a learning interval, then an interval that
+// crosses the threshold, meets a DCPCP prediction, races a copy with a
+// store, and grows the store mid-interval through NVAlloc and NVAttach. A
+// sampler checks the contract every millisecond of virtual time, after the
+// events already due at that instant have run.
+func TestWakeContract(t *testing.T) {
+	for _, scheme := range []Scheme{CPC, DCPC, DCPCP} {
+		t.Run(scheme.String(), func(t *testing.T) { wakeContract(t, scheme) })
+	}
+}
+
+func wakeContract(t *testing.T, scheme Scheme) {
+	e := sim.NewEnv()
+	r := newRig(e)
+	eng := New(r.store, Config{Scheme: scheme, BWPerCore: 1e9})
+	delayed := scheme != CPC
+	done := false
+	e.Go("sampler", func(p *sim.Proc) {
+		for !done {
+			p.Sleep(time.Millisecond)
+			p.Sleep(0) // settle: let events due at this instant run first
+			if eng.wake.Waiters() > 0 && eng.nextCandidate() != nil {
+				t.Errorf("t=%v: worker parked with %s eligible", p.Now(), eng.nextCandidate().Name)
+				return
+			}
+		}
+	})
+	// startsNow checks that the worker began a copy at this instant: the
+	// caller's settle runs after the worker's same-instant wake. Sim
+	// processes are not the test goroutine, so checks use t.Error.
+	startsNow := func(p *sim.Proc, what string) {
+		t.Helper()
+		p.Sleep(0)
+		if !eng.copying {
+			t.Errorf("t=%v: no pre-copy started at %s", p.Now(), what)
+		}
+	}
+	idle := func(p *sim.Proc, what string) {
+		t.Helper()
+		if eng.copying || eng.wake.Waiters() != 1 {
+			t.Errorf("t=%v: worker not parked before %s", p.Now(), what)
+		}
+	}
+	e.Go("app", func(p *sim.Proc) {
+		defer func() { done = true }()
+		a, _ := r.store.NVAlloc(p, "a", 100*mem.MB, true)     // one episode per interval
+		hot, _ := r.store.NVAlloc(p, "hot", 100*mem.MB, true) // two episodes per interval
+		checkpoint := func() {
+			eng.Quiesce(p)
+			ck := p.Now()
+			r.store.ChkptAll(p)
+			eng.OnCheckpoint(ck)
+		}
+
+		// Learning interval.
+		eng.BeginInterval(p)
+		a.WriteAll(p)
+		hot.WriteAll(p)
+		p.Sleep(time.Second)
+		hot.WriteAll(p)
+		p.Sleep(time.Second)
+		if got := eng.Counters.Get("precopy_copies"); delayed && got != 0 {
+			t.Errorf("learning interval did %d pre-copies", got)
+		}
+		checkpoint()
+
+		// Second interval: first episodes, then the threshold.
+		eng.BeginInterval(p)
+		start := p.Now()
+		a.WriteAll(p)
+		hot.WriteAll(p)
+		if delayed {
+			p.Sleep(start + eng.Threshold() - p.Now())
+			startsNow(p, "the threshold")
+		}
+		p.Sleep(500 * time.Millisecond)
+		if scheme == DCPCP && !hot.Dirty() {
+			t.Error("DCPCP pre-copied hot before its predicted second episode")
+		}
+
+		// Second episode of hot: meets the DCPCP prediction, re-dirties the
+		// chunk for CPC and DCPC. A store landing mid-copy races it.
+		idle(p, "the second episode")
+		hot.WriteAll(p)
+		startsNow(p, "the second episode")
+		p.Sleep(time.Millisecond)
+		hot.WriteAll(p)
+		p.Sleep(500 * time.Millisecond)
+		if got := eng.Counters.Get("raced_copies"); got == 0 {
+			t.Error("no raced copy recorded")
+		}
+
+		// Chunks born after the threshold start their pre-copy at birth.
+		idle(p, "NVAlloc")
+		if _, err := r.store.NVAlloc(p, "born", 50*mem.MB, true); err != nil {
+			t.Error(err)
+			return
+		}
+		startsNow(p, "NVAlloc")
+		p.Sleep(500 * time.Millisecond)
+		idle(p, "NVAttach")
+		if _, err := r.store.NVAttach(p, "attached", 50*mem.MB); err != nil {
+			t.Error(err)
+			return
+		}
+		startsNow(p, "NVAttach")
+		p.Sleep(500 * time.Millisecond)
+		if d := r.store.DirtyLocal(); len(d) != 0 {
+			t.Errorf("%d chunks still dirty before the checkpoint, first %s", len(d), d[0].Name)
+		}
+		checkpoint()
+		eng.Stop()
+	})
+	e.Run()
 }

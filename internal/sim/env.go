@@ -276,9 +276,6 @@ func (e *Env) RunUntil(horizon time.Duration) {
 	}
 }
 
-// Idle reports whether no events remain queued.
-func (e *Env) Idle() bool { return e.pending() == 0 }
-
 // LiveProcs returns the number of processes that have been started and have
 // not yet finished or been killed.
 func (e *Env) LiveProcs() int { return e.nprocs }

@@ -246,12 +246,12 @@ func TestLiveProcsAccounting(t *testing.T) {
 	}
 }
 
-func TestYieldRunsOtherEventsAtSameInstant(t *testing.T) {
+func TestSleepZeroRunsOtherEventsAtSameInstant(t *testing.T) {
 	e := NewEnv()
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Go("b", func(p *Proc) { order = append(order, "b") })

@@ -45,23 +45,6 @@ func (c *Completion) Await(p *Proc) {
 	p.park()
 }
 
-// AwaitTimeout blocks p until the latch completes or d elapses, reporting
-// whether the latch completed.
-func (c *Completion) AwaitTimeout(p *Proc, d time.Duration) bool {
-	if c.done {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	seq := p.prepark()
-	c.ws = append(c.ws, waiter{p, seq})
-	defer c.removeWaiter(p, seq)
-	timer, gen := c.env.scheduleWake(d, p, seq, wakeTimer)
-	defer c.env.cancelWake(timer, gen)
-	return p.park() == wakeSignal || c.done
-}
-
 func (c *Completion) removeWaiter(p *Proc, seq uint64) {
 	for i, w := range c.ws {
 		if w.p == p && w.seq == seq {
@@ -148,9 +131,6 @@ type Mutex struct {
 // NewMutex returns an unlocked mutex bound to e.
 func NewMutex(e *Env) *Mutex { return &Mutex{env: e} }
 
-// Locked reports whether some process holds the mutex.
-func (m *Mutex) Locked() bool { return m.owner != nil }
-
 // Lock blocks p until it owns the mutex.
 func (m *Mutex) Lock(p *Proc) {
 	m.Holds++
@@ -204,78 +184,6 @@ func (m *Mutex) handoff() {
 }
 
 // ---------------------------------------------------------------------------
-// Semaphore — counting semaphore with FIFO wakeups.
-
-// Semaphore is a counting semaphore with FIFO wakeups. Tokens released while
-// processes wait are handed directly to the head waiter.
-type Semaphore struct {
-	env    *Env
-	tokens int
-	q      []waiter
-	// granted marks waiters whose token was handed off while parked, so a
-	// kill unwind can return it.
-	granted map[*Proc]bool
-}
-
-// NewSemaphore returns a semaphore holding tokens initial permits.
-func NewSemaphore(e *Env, tokens int) *Semaphore {
-	return &Semaphore{env: e, tokens: tokens, granted: make(map[*Proc]bool)}
-}
-
-// Tokens returns the number of free permits.
-func (s *Semaphore) Tokens() int { return s.tokens }
-
-// Acquire blocks p until a permit is available and takes it.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.tokens > 0 && len(s.q) == 0 {
-		s.tokens--
-		return
-	}
-	seq := p.prepark()
-	s.q = append(s.q, waiter{p, seq})
-	acquired := false
-	defer func() {
-		if acquired {
-			return
-		}
-		for i, w := range s.q {
-			if w.p == p {
-				s.q = append(s.q[:i], s.q[i+1:]...)
-				break
-			}
-		}
-		if s.granted[p] {
-			delete(s.granted, p)
-			s.Release()
-		}
-	}()
-	p.park()
-	delete(s.granted, p)
-	acquired = true
-}
-
-// TryAcquire takes a permit if one is immediately available.
-func (s *Semaphore) TryAcquire() bool {
-	if s.tokens > 0 && len(s.q) == 0 {
-		s.tokens--
-		return true
-	}
-	return false
-}
-
-// Release returns a permit, waking the head waiter if any.
-func (s *Semaphore) Release() {
-	if len(s.q) > 0 {
-		next := s.q[0]
-		s.q = s.q[1:]
-		s.granted[next.p] = true
-		s.env.wakeLater(next.p, next.seq, wakeSignal)
-		return
-	}
-	s.tokens++
-}
-
-// ---------------------------------------------------------------------------
 // Barrier — cyclic rendezvous for n parties.
 
 // Barrier is a cyclic barrier for a fixed number of parties, used to model
@@ -298,12 +206,6 @@ func NewBarrier(e *Env, parties int) *Barrier {
 	}
 	return &Barrier{env: e, parties: parties}
 }
-
-// Parties returns the configured party count.
-func (b *Barrier) Parties() int { return b.parties }
-
-// Arrived returns how many parties are waiting in the current generation.
-func (b *Barrier) Arrived() int { return b.arrived }
 
 // Await blocks p until all parties of the current generation have arrived.
 func (b *Barrier) Await(p *Proc) {

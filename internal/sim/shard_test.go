@@ -113,7 +113,7 @@ func TestBreakPausesAndResumes(t *testing.T) {
 	if e.Now() != time.Millisecond {
 		t.Fatalf("clock advanced to %v during break", e.Now())
 	}
-	if e.Idle() {
+	if e.pending() == 0 {
 		t.Fatal("break discarded queued events")
 	}
 	e.Run()
