@@ -24,7 +24,11 @@ type Control struct {
 	// first epoch — the deterministic point to apply commands queued
 	// before the run began.
 	OnStart func(c *Cluster)
-	// OnTick fires every Tick while the run is live.
+	// OnTick fires every Tick while the run is live. A run switches
+	// between its processes without passing through the Go scheduler, so
+	// a CPU-bound run holds its host thread until forced preemption;
+	// a controller serving other host goroutines (HTTP handlers) should
+	// call runtime.Gosched here, as controlplane does.
 	OnTick func(c *Cluster, now time.Duration)
 }
 

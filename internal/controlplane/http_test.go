@@ -7,9 +7,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nvmcp/internal/scenario"
 )
 
 func apiRig(t *testing.T, cfg Config) (*Plane, *httptest.Server) {
@@ -220,5 +224,45 @@ func TestAPIConcurrentSubmitQueryCancel(t *testing.T) {
 		if !st.State.Terminal() {
 			t.Errorf("job %d (%s) ended non-terminal: %s", st.ID, st.Label, st.State)
 		}
+	}
+}
+
+// TestAPIPanickingJobFailsAndServerKeepsServing submits a scenario that the
+// validator accepts but whose rank setup panics (a checkpoint far larger
+// than node DRAM): the job must fail with the panic as its reason, and the
+// plane must go on to run the next job.
+func TestAPIPanickingJobFailsAndServerKeepsServing(t *testing.T) {
+	_, srv := apiRig(t, Config{})
+	sc, err := scenario.LoadFile(filepath.Join("..", "..", "docs", "scenarios", "faults-cascade.json"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	sc.Workload.CkptMB = 1e9
+
+	poll := func(req SubmitRequest) JobStatus {
+		t.Helper()
+		var st JobStatus
+		if code := doJSON(t, "POST", srv.URL+"/api/jobs", req, &st); code != http.StatusAccepted {
+			t.Fatalf("submit code = %d, want 202", code)
+		}
+		deadline := time.Now().Add(pollTimeout)
+		for !st.State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job stuck in %s", st.State)
+			}
+			time.Sleep(10 * time.Millisecond)
+			doJSON(t, "GET", fmt.Sprintf("%s/api/jobs/%d", srv.URL, st.ID), nil, &st)
+		}
+		return st
+	}
+	bad := poll(SubmitRequest{Scenario: sc, Label: "huge"})
+	if bad.State != StateFailed || !strings.Contains(bad.Reason, "dram out of space") {
+		t.Fatalf("oversized job = %s (%q), want failed with the panic value", bad.State, bad.Reason)
+	}
+	if bad.Result != nil {
+		t.Fatalf("panicked job carries a result: %+v", bad.Result)
+	}
+	if ok := poll(SubmitRequest{Preset: "quick", Scale: "tiny"}); ok.State != StateDone {
+		t.Fatalf("follow-up job = %s (%q), want done", ok.State, ok.Reason)
 	}
 }

@@ -17,6 +17,7 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -166,6 +167,9 @@ type Job struct {
 	// resolved remote-drain rate cap times the node count (falling back
 	// to per-node link bandwidth when the drain is uncapped).
 	Demand float64
+	// Nodes is the job's cluster size, recorded at submit so status can
+	// report it after the finished run's cluster is released.
+	Nodes int
 
 	state       State
 	reason      string
@@ -178,9 +182,14 @@ type Job struct {
 	startedAt   time.Time
 	finishedAt  time.Time
 
-	cluster *cluster.Cluster
-	res     cluster.Result
-	haveRes bool
+	// cluster is the live run; finishLocked drops it (a finished cluster
+	// holds megabytes of device and observer state) after snapshotting its
+	// final progress into virtualUS/events.
+	cluster   *cluster.Cluster
+	virtualUS int64
+	events    int
+	res       cluster.Result
+	haveRes   bool
 
 	startOnce sync.Once
 	started   chan struct{}
@@ -279,6 +288,7 @@ func (pl *Plane) Submit(sc *scenario.Scenario, opts SubmitOptions) (JobStatus, e
 		Label:    opts.Label,
 		Scenario: sc,
 		Demand:   demand,
+		Nodes:    cfg.Nodes,
 		state:    StateQueued,
 		hold:     opts.Hold,
 		started:  make(chan struct{}),
@@ -286,7 +296,10 @@ func (pl *Plane) Submit(sc *scenario.Scenario, opts SubmitOptions) (JobStatus, e
 	}
 	cfg.Control = &cluster.Control{
 		OnStart: func(c *cluster.Cluster) { pl.applyCommands(j, c) },
-		OnTick:  func(c *cluster.Cluster, _ time.Duration) { pl.applyCommands(j, c) },
+		OnTick: func(c *cluster.Cluster, _ time.Duration) {
+			pl.applyCommands(j, c)
+			runtime.Gosched() // let HTTP handlers in; see Control.OnTick
+		},
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -465,11 +478,13 @@ func (pl *Plane) runJob(j *Job) {
 	c := j.cluster
 	pl.mu.Unlock()
 
-	res, err := c.Execute()
+	res, err := execute(c)
 
 	pl.mu.Lock()
-	j.res = res
-	j.haveRes = true
+	if res != nil {
+		j.res = *res
+		j.haveRes = true
+	}
 	switch {
 	case err == nil:
 		pl.finishLocked(j, StateDone, "")
@@ -484,10 +499,27 @@ func (pl *Plane) runJob(j *Job) {
 	pl.pump()
 }
 
+// execute runs c. A panic inside the simulation comes back as an error
+// with no result, so a broken job fails alone instead of taking the plane's
+// process down.
+func execute(c *cluster.Cluster) (res *cluster.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("run panicked: %v", r)
+		}
+	}()
+	r, err := c.Execute()
+	return &r, err
+}
+
 func (pl *Plane) finishLocked(j *Job, s State, reason string) {
 	j.state = s
 	j.reason = reason
 	j.finishedAt = time.Now()
+	if j.cluster != nil {
+		j.virtualUS, j.events = j.cluster.Obs.Progress()
+		j.cluster = nil
+	}
 }
 
 func (pl *Plane) releaseSlotLocked(j *Job) {
@@ -590,7 +622,7 @@ func (pl *Plane) Inject(id int, spec scenario.FailureSpec) error {
 	if !ok {
 		return ErrUnknownJob
 	}
-	if j.state.Terminal() {
+	if j.state.Terminal() || j.cluster == nil {
 		return ErrFinished
 	}
 	ev := cluster.FailureFromSpec(spec)

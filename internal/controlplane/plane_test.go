@@ -68,6 +68,51 @@ func TestSubmitRunsToCompletionWithBatchChecksumParity(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesCluster checks that a finished job drops its
+// cluster and that its status keeps reporting the final run figures.
+func TestFinishedJobReleasesCluster(t *testing.T) {
+	pl := New(Config{})
+	defer pl.Close()
+
+	st, err := pl.Submit(tinyScenario(t), SubmitOptions{Hold: true})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	pl.mu.Lock()
+	c := pl.jobs[st.ID].cluster
+	pl.mu.Unlock()
+	if err := pl.Start(st.ID); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	done := mustDone(t, pl, st.ID)
+	if done.State != StateDone || done.Result == nil {
+		t.Fatalf("job = %s (%q), result %v; want done with a result", done.State, done.Reason, done.Result)
+	}
+
+	pl.mu.Lock()
+	held := pl.jobs[st.ID].cluster
+	pl.mu.Unlock()
+	if held != nil {
+		t.Fatal("plane still holds the finished job's cluster")
+	}
+	wantUS, wantEvents := c.Obs.Progress()
+	if done.Nodes != c.Cfg.Nodes || done.VirtualUS != wantUS || done.Events != wantEvents || wantEvents == 0 {
+		t.Fatalf("status nodes/virtual_us/events = %d/%d/%d, run had %d/%d/%d",
+			done.Nodes, done.VirtualUS, done.Events, c.Cfg.Nodes, wantUS, wantEvents)
+	}
+	later, err := pl.Status(st.ID)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if later.Nodes != done.Nodes || later.VirtualUS != done.VirtualUS ||
+		later.Events != done.Events || *later.Result != *done.Result {
+		t.Fatalf("status changed after finish: %+v, then %+v", done, later)
+	}
+	if err := pl.Inject(st.ID, scenario.FailureSpec{}); !errors.Is(err, ErrFinished) {
+		t.Fatalf("Inject on a finished job: err = %v, want ErrFinished", err)
+	}
+}
+
 func TestQueueFillsThenRejectsAndRecovers(t *testing.T) {
 	pl := New(Config{MaxRunning: 1, QueueDepth: 1})
 	defer pl.Close()

@@ -146,7 +146,7 @@ func (pl *Plane) statusLocked(j *Job) JobStatus {
 		WaitReason:      j.waitReason,
 		CancelRequested: j.canceled && !j.state.Terminal(),
 		Hold:            j.hold,
-		Nodes:           j.cluster.Cfg.Nodes,
+		Nodes:           j.Nodes,
 		DemandBPS:       j.Demand,
 		SubmittedAt:     j.submittedAt,
 		Notes:           append([]string(nil), j.notes...),
@@ -164,6 +164,8 @@ func (pl *Plane) statusLocked(j *Job) JobStatus {
 		if j.state == StateRunning {
 			st.WindowBytes = liveWindowBytes(j.cluster)
 		}
+	} else {
+		st.VirtualUS, st.Events = j.virtualUS, j.events
 	}
 	if j.haveRes {
 		r := j.res

@@ -2,11 +2,14 @@
 //
 // An Env owns a virtual clock and an event queue. Simulated activities are
 // either bare events (callbacks scheduled at a virtual time) or processes
-// (Proc), which are goroutines that run one at a time under the scheduler's
-// control, in the style of coroutine-based simulators such as SimPy. Because
-// at most one goroutine — the scheduler or exactly one process — is runnable
-// at any instant, simulations are fully deterministic: two runs with the same
-// seeds produce identical event orders and identical virtual timings.
+// (Proc), in the style of coroutine-based simulators such as SimPy. Each
+// process body runs as a runtime coroutine (iter.Pull): the scheduler
+// resumes it with next() and it yields back when it parks, so exactly one of
+// them — the scheduler or one process — runs at any instant, and a switch
+// never goes through the Go scheduler. A panic in a process body propagates
+// through next() into the scheduler and out of Run. Simulations are fully
+// deterministic: two runs with the same seeds produce identical event orders
+// and identical virtual timings.
 //
 // Virtual time is expressed as time.Duration since the start of the
 // simulation. It has no relation to wall-clock time; a simulated hour costs
@@ -34,11 +37,9 @@ type Env struct {
 	now    time.Duration
 	queue  ladder
 	seq    uint64 // tie-breaker for events scheduled at the same instant
-	parked chan struct{}
-	cur    *Proc // process currently executing, nil in scheduler context
-	fatal  any   // panic value captured from a process, re-raised by Run
-	nprocs int   // live (started, not yet finished) processes
-	brk    bool  // Break() requested: pause the run loop after this dispatch
+	cur    *Proc  // process currently executing, nil in scheduler context
+	nprocs int    // live (started, not yet finished) processes
+	brk    bool   // Break() requested: pause the run loop after this dispatch
 
 	nowq     []*Event // FIFO of events due at the current instant
 	nowqHead int
@@ -59,7 +60,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{parked: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -261,11 +262,6 @@ func (e *Env) RunUntil(horizon time.Duration) {
 			e.release(next)
 			fn()
 		}
-		if e.fatal != nil {
-			f := e.fatal
-			e.fatal = nil
-			panic(f)
-		}
 		if e.brk {
 			e.brk = false
 			return
@@ -284,14 +280,18 @@ func (e *Env) LiveProcs() int { return e.nprocs }
 // scheduler (event callback) context.
 func (e *Env) Cur() *Proc { return e.cur }
 
-// switchTo transfers control to p, delivering wake kind k, and blocks until p
-// parks again or exits. It must only be called from scheduler context.
+// switchTo transfers control to p, delivering wake kind k, and returns when p
+// parks again or exits. A panic in p's body (other than its own kill unwind)
+// propagates out of here. It must only be called from scheduler context.
 func (e *Env) switchTo(p *Proc, k wakeKind) {
 	prev := e.cur
 	e.cur = p
-	p.resume <- k
-	<-e.parked
+	p.wk = k
+	p.next()
 	e.cur = prev
+	if p.state == procDone {
+		p.next, p.yield = nil, nil // let the finished body's closure go
+	}
 }
 
 // wake resumes process p if and only if it is still parked on the wait

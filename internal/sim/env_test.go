@@ -135,6 +135,41 @@ func TestProcPanicPropagates(t *testing.T) {
 	t.Fatal("Run returned without panicking")
 }
 
+// TestProcPanicAfterKillUnwind: a panic raised by a resumed process (not
+// at its first dispatch) surfaces from Run with its original value, and a
+// process killed earlier in the same run has already unwound through its
+// deferred cleanup.
+func TestProcPanicAfterKillUnwind(t *testing.T) {
+	type boom struct{ n int }
+	e := NewEnv()
+	cleaned := false
+	victim := e.Go("victim", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(time.Hour)
+	})
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		victim.Kill()
+		p.Sleep(time.Millisecond)
+		panic(boom{42})
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != (boom{42}) {
+				t.Fatalf("recovered %#v, want boom{42}", r)
+			}
+		}()
+		e.Run()
+		t.Fatal("Run returned without panicking")
+	}()
+	if !cleaned || !victim.Done() {
+		t.Fatalf("killed victim: cleaned=%v done=%v", cleaned, victim.Done())
+	}
+	if e.Now() != 2*time.Millisecond {
+		t.Fatalf("Now() = %v, want 2ms", e.Now())
+	}
+}
+
 func TestKillUnwindsParkedProc(t *testing.T) {
 	e := NewEnv()
 	cleaned := false

@@ -255,9 +255,6 @@ type Queue[T any] struct {
 // NewQueue returns an empty queue bound to e.
 func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
 
-// Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
 // Put appends v and wakes one waiting consumer, if any. Callable from
 // process or scheduler context.
 func (q *Queue[T]) Put(v T) {
@@ -269,8 +266,8 @@ func (q *Queue[T]) Put(v T) {
 	}
 }
 
-// TryGet pops the head item if one is buffered.
-func (q *Queue[T]) TryGet() (T, bool) {
+// tryGet pops the head item if one is buffered.
+func (q *Queue[T]) tryGet() (T, bool) {
 	var zero T
 	if len(q.items) == 0 {
 		return zero, false
@@ -283,7 +280,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // Get blocks p until an item is available and pops it.
 func (q *Queue[T]) Get(p *Proc) T {
 	for {
-		if v, ok := q.TryGet(); ok {
+		if v, ok := q.tryGet(); ok {
 			return v
 		}
 		seq := p.prepark()
@@ -292,36 +289,6 @@ func (q *Queue[T]) Get(p *Proc) T {
 			defer q.removeWaiter(p, seq)
 			p.park()
 		}()
-	}
-}
-
-// GetTimeout blocks p until an item is available or d elapses.
-func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
-	var zero T
-	deadline := q.env.now + d
-	for {
-		if v, ok := q.TryGet(); ok {
-			return v, true
-		}
-		remain := deadline - q.env.now
-		if remain <= 0 {
-			return zero, false
-		}
-		seq := p.prepark()
-		q.ws = append(q.ws, waiter{p, seq})
-		var kind wakeKind
-		func() {
-			defer q.removeWaiter(p, seq)
-			timer, gen := q.env.scheduleWake(remain, p, seq, wakeTimer)
-			defer q.env.cancelWake(timer, gen)
-			kind = p.park()
-		}()
-		if kind == wakeTimer {
-			if v, ok := q.TryGet(); ok {
-				return v, true
-			}
-			return zero, false
-		}
 	}
 }
 

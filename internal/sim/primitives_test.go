@@ -272,39 +272,17 @@ func TestQueueFIFOAndBlocking(t *testing.T) {
 	}
 }
 
-func TestQueueGetTimeout(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[string](e)
-	var ok1, ok2 bool
-	var v2 string
-	e.Go("c", func(p *Proc) {
-		_, ok1 = q.GetTimeout(p, 5*time.Millisecond)
-		v2, ok2 = q.GetTimeout(p, time.Hour)
-	})
-	e.Go("producer", func(p *Proc) {
-		p.Sleep(20 * time.Millisecond)
-		q.Put("late")
-	})
-	e.Run()
-	if ok1 {
-		t.Fatal("GetTimeout returned a value from an empty queue")
-	}
-	if !ok2 || v2 != "late" {
-		t.Fatalf("second GetTimeout = (%q,%v), want (late,true)", v2, ok2)
-	}
-}
-
 func TestQueueTryGet(t *testing.T) {
 	e := NewEnv()
 	q := NewQueue[int](e)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue succeeded")
+	if _, ok := q.tryGet(); ok {
+		t.Fatal("tryGet on empty queue succeeded")
 	}
 	q.Put(7)
-	if v, ok := q.TryGet(); !ok || v != 7 {
-		t.Fatalf("TryGet = (%d,%v), want (7,true)", v, ok)
+	if v, ok := q.tryGet(); !ok || v != 7 {
+		t.Fatalf("tryGet = (%d,%v), want (7,true)", v, ok)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
+	if len(q.items) != 0 {
+		t.Fatalf("%d items left, want 0", len(q.items))
 	}
 }

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -33,13 +36,15 @@ type killedPanic struct{ p *Proc }
 func (k killedPanic) String() string { return "sim: process " + k.p.name + " killed" }
 
 // Proc is a simulated process. All blocking methods (Sleep, primitive waits,
-// resource transfers) consume virtual time only; the hosting goroutine is
-// parked while other events run. Methods on Proc must only be called from
+// resource transfers) consume virtual time only; the process's coroutine is
+// suspended while other events run. Methods on Proc must only be called from
 // the process's own body unless documented otherwise.
 type Proc struct {
 	env     *Env
 	name    string
-	resume  chan wakeKind
+	next    func() (struct{}, bool) // resumes the body until it parks or ends
+	yield   func(struct{}) bool     // suspends the body back to the scheduler
+	wk      wakeKind                // why the last resume happened
 	state   procState
 	waitSeq uint64
 	killed  bool
@@ -57,7 +62,7 @@ type waiter struct {
 // current virtual time (after already-queued events at this instant). Go may
 // be called from scheduler or process context.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan wakeKind)}
+	p := &Proc{env: e, name: name}
 	e.nprocs++
 	e.Schedule(0, func() { e.startProc(p, fn) })
 	return p
@@ -70,29 +75,24 @@ func (e *Env) startProc(p *Proc, fn func(*Proc)) {
 		e.nprocs--
 		return
 	}
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			r := recover()
-			if r != nil {
-				if _, ok := r.(killedPanic); !ok {
-					p.env.fatal = r
-				}
-			}
 			p.finish()
-			p.env.nprocs--
-			p.env.parked <- struct{}{}
+			e.nprocs--
+			if _, killed := r.(killedPanic); r != nil && !killed {
+				panic(r) // surfaces from the scheduler's next() call
+			}
 		}()
-		if k := <-p.resume; k == wakeKill {
-			panic(killedPanic{p})
-		}
 		fn(p)
-	}()
+	})
 	p.state = procRunning
 	e.switchTo(p, wakeRun)
 }
 
 // finish marks the process done and wakes any joiners. Runs in the process's
-// goroutine just before it returns control to the scheduler.
+// coroutine just before it returns control to the scheduler.
 func (p *Proc) finish() {
 	p.state = procDone
 	ws := p.exitWs
@@ -131,8 +131,8 @@ func (p *Proc) prepark() uint64 {
 // primitives use deferred cleanup to stay consistent under that unwind.
 func (p *Proc) park() wakeKind {
 	p.state = procParked
-	p.env.parked <- struct{}{}
-	k := <-p.resume
+	p.yield(struct{}{})
+	k := p.wk
 	if k == wakeKill || p.killed {
 		panic(killedPanic{p})
 	}
